@@ -93,7 +93,7 @@ class RandomizedRefreshEmitter(MemoryRefreshEmitter):
             lost_power = full * full * (1.0 - retention * retention)
             if lost_power <= 0:
                 continue
-            power += pedestal.render(grid.frequencies, center, lost_power)
+            pedestal.deposit(power, grid.frequencies, center, lost_power)
         return power
 
     def is_modulated_by(self, activity, threshold=1e-9):

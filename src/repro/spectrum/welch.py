@@ -9,7 +9,6 @@ same places with the same relative powers.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _signal
 
 from ..errors import TraceError
 from .grid import FrequencyGrid
@@ -30,7 +29,9 @@ def welch_psd(iq, sample_rate, nperseg=None, center_frequency=0.0):
         raise TraceError("sample rate must be positive")
     if nperseg is None:
         nperseg = min(iq.size, 1 << 14)
-    freqs, psd = _signal.welch(
+    from scipy.signal import welch
+
+    freqs, psd = welch(
         iq,
         fs=sample_rate,
         nperseg=nperseg,

@@ -140,7 +140,7 @@ class Emitter:
                 line_shape = (
                     shape.broadened(line.extra_width) if line.extra_width > 0 else shape
                 )
-                power += line_shape.render(grid.frequencies, center + line.offset, line.power)
+                line_shape.deposit(power, grid.frequencies, center + line.offset, line.power)
         return power
 
     def carrier_frequencies(self, up_to=None):

@@ -75,13 +75,15 @@ class AMRadioStation(EnvironmentSource):
         self.name = name or f"AM@{frequency / 1e3:.0f}kHz"
 
     def mean_power(self, grid):
-        carrier = DeltaLine().render(
+        # Carrier and audio sum into this station's own array before the
+        # environment adds it, which fixes the float summation order.
+        power = DeltaLine().render(
             grid.frequencies, self.frequency, self.power_mw * (1.0 - self.sideband_fraction)
         )
-        audio = GaussianLine(self.audio_bandwidth / 2.0).render(
-            grid.frequencies, self.frequency, self.power_mw * self.sideband_fraction
+        GaussianLine(self.audio_bandwidth / 2.0).deposit(
+            power, grid.frequencies, self.frequency, self.power_mw * self.sideband_fraction
         )
-        return carrier + audio
+        return power
 
 
 class SpuriousToneField(EnvironmentSource):
@@ -115,23 +117,42 @@ class SpuriousToneField(EnvironmentSource):
         power = np.zeros(grid.n_bins, dtype=float)
         shape = DeltaLine()
         for frequency, tone_power in zip(self.frequencies, self.powers_mw):
-            power += shape.render(grid.frequencies, frequency, tone_power)
+            shape.deposit(power, grid.frequencies, frequency, tone_power)
         return power
 
 
 class RFEnvironment(EnvironmentSource):
-    """Aggregate of environment sources plus the noise landscape."""
+    """Aggregate of environment sources plus the noise landscape.
+
+    The environment is static, so :meth:`mean_power` renders it once per
+    grid and hands every later capture on that grid the same read-only
+    array. ``sources`` is a tuple so the cached render cannot go stale by
+    mutation.
+    """
 
     def __init__(self, sources=(), noise=None):
-        self.sources = list(sources)
+        self.sources = tuple(sources)
         self.noise = noise
+        self._rendered = None  # (grid key, read-only power) of the last grid
 
     def mean_power(self, grid):
+        """Mean per-bin power (mW), read-only and cached for the last grid.
+
+        The cache holds one entry, keyed on the exact bin centres (start,
+        resolution, bin count): campaigns capture one grid many times, and
+        callers that alternate grids get a fresh render each time.
+        """
+        key = (grid.start, grid.resolution, grid.n_bins)
+        rendered = self._rendered
+        if rendered is not None and rendered[0] == key:
+            return rendered[1]
         power = np.zeros(grid.n_bins, dtype=float)
         for source in self.sources:
             power += source.mean_power(grid)
         if self.noise is not None:
             power += self.noise.mean_density(grid.frequencies) * grid.resolution
+        power.flags.writeable = False
+        self._rendered = (key, power)
         return power
 
     @classmethod

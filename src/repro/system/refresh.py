@@ -164,5 +164,5 @@ class MemoryRefreshEmitter(Emitter):
             lost_power = amplitude * amplitude * dispersed_fraction
             if lost_power <= 0:
                 continue
-            power += pedestal.render(grid.frequencies, center, lost_power)
+            pedestal.deposit(power, grid.frequencies, center, lost_power)
         return power

@@ -183,7 +183,7 @@ class ConstantOnTimeRegulator(Emitter):
                 break
             for line in centers:
                 line_shape = shape.broadened(line.extra_width)
-                power += line_shape.render(grid.frequencies, line.offset, line.power)
+                line_shape.deposit(power, grid.frequencies, line.offset, line.power)
         return power
 
     def is_modulated_by(self, activity, threshold=1e-9):

@@ -1,5 +1,10 @@
 """Public API surface: exports, exception hierarchy, report rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +35,29 @@ class TestPackageSurface:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+
+    def test_scan_never_imports_scipy(self):
+        """scipy serves only the time-domain cross-check path, so importing
+        the CLI and running a scan must not pay for it."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro, repro.cli\n"
+            "from repro import FaseConfig, MicroOp, corei7_desktop, run_fase\n"
+            "run_fase(\n"
+            "    corei7_desktop(rng=np.random.default_rng(0)),\n"
+            "    pairs=((MicroOp.LDM, MicroOp.LDL1),),\n"
+            "    config=FaseConfig(span_low=0.0, span_high=1e6, fres=100.0),\n"
+            "    rng=np.random.default_rng(1),\n"
+            ")\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "[]"
 
 
 class TestExceptionHierarchy:

@@ -147,3 +147,48 @@ class TestRFEnvironment:
         env = RFEnvironment.metropolitan(50e3, rng=np.random.default_rng(0))
         grid = FrequencyGrid(0.0, 50e3, 50.0)
         assert env.mean_power(grid).sum() > 0
+
+
+class TestEnvironmentCache:
+    """The static environment is rendered once per grid and never mutated."""
+
+    def test_cached_render_is_read_only(self):
+        power = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0)).mean_power(GRID)
+        with pytest.raises(ValueError):
+            power[0] = 1.0
+        with pytest.raises(ValueError):
+            power += 1.0
+
+    def test_same_grid_reuses_one_render(self):
+        env = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        first = env.mean_power(GRID)
+        assert env.mean_power(FrequencyGrid(0.0, 2e6, 50.0)) is first
+
+    def test_second_grid_replaces_the_entry(self):
+        env = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        other = FrequencyGrid(100e3, 600e3, 25.0)
+        first = env.mean_power(GRID)
+        on_other = env.mean_power(other)
+        again = env.mean_power(GRID)
+        # One entry: each grid switch evicts the previous render, so going
+        # back to a grid renders it again (a new array, the same bytes).
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
+        assert env.mean_power(other) is not on_other
+        fresh = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(on_other, fresh.mean_power(other))
+
+    def test_environments_never_share_an_entry(self):
+        a = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        b = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(1))
+        power_a, power_b = a.mean_power(GRID), b.mean_power(GRID)
+        assert power_a is not power_b
+        assert not np.array_equal(power_a, power_b)
+        twin = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        assert twin.mean_power(GRID) is not power_a
+
+    def test_sources_are_immutable(self):
+        env = RFEnvironment(sources=[ToneInterferer(500e3, -100.0)])
+        assert isinstance(env.sources, tuple)
+        with pytest.raises(AttributeError):
+            env.sources.append(ToneInterferer(600e3, -100.0))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.signals.lineshape import DeltaLine, GaussianLine, LorentzianLine, SpreadSpectrumLine
+from repro.signals.lineshape import (
+    DeltaLine,
+    GaussianLine,
+    LineShape,
+    LorentzianLine,
+    SpreadSpectrumLine,
+    _grid_step,
+)
 from repro.signals.modulation import am_sideband_lines, modulation_depth_from_levels
 from repro.signals.pulse import pulse_harmonic_amplitude, pulse_harmonic_power
 
@@ -74,6 +81,108 @@ class TestLineShapeProperties:
         out = DeltaLine().render(self.grid, center, 1.0)
         assert np.count_nonzero(out) == 1
         assert out.sum() == pytest.approx(1.0)
+
+
+def reference_render(shape, frequencies, center, power):
+    """The full-grid renderer ``LineShape.render`` used before ``deposit``.
+
+    Kept verbatim as the reference the in-place deposit must match bit for
+    bit: every accumulating renderer used to do ``acc += render(...)``.
+    """
+    out = np.zeros_like(frequencies, dtype=float)
+    if power <= 0:
+        return out
+    lo = np.searchsorted(frequencies, center - shape.halfwidth, side="left")
+    hi = np.searchsorted(frequencies, center + shape.halfwidth, side="right")
+    if hi <= lo:
+        idx = np.searchsorted(frequencies, center)
+        if 0 < idx < len(frequencies):
+            if abs(frequencies[idx - 1] - center) < abs(frequencies[idx] - center):
+                idx -= 1
+        elif idx == len(frequencies):
+            idx -= 1
+        if 0 <= idx < len(frequencies) and abs(frequencies[idx] - center) <= max(
+            shape.halfwidth, _grid_step(frequencies)
+        ):
+            out[idx] = power
+        return out
+    window = frequencies[lo:hi]
+    weights = shape.density(window - center)
+    total = weights.sum()
+    if total <= 0:
+        return out
+    out[lo:hi] = power * weights / total
+    return out
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.uint64)
+
+
+widths = st.floats(min_value=1.0, max_value=5e3)
+line_shapes = st.one_of(
+    st.just(DeltaLine()),
+    widths.map(GaussianLine),
+    widths.map(LorentzianLine),
+    st.builds(
+        SpreadSpectrumLine,
+        widths,
+        st.one_of(st.none(), st.floats(min_value=1.0, max_value=500.0)),
+        st.sampled_from(["sinusoidal", "triangular"]),
+    ),
+)
+
+
+@st.composite
+def deposit_cases(draw):
+    """(shape, grid, center, power, accumulator) covering every window case."""
+    shape = draw(line_shapes)
+    step = draw(st.sampled_from([10.0, 50.0, 100.0]))
+    start = draw(st.sampled_from([0.0, 1e3, 123.5]))
+    n_bins = draw(st.integers(min_value=2, max_value=400))
+    frequencies = start + np.arange(n_bins) * step
+    first, last = frequencies[0], frequencies[-1]
+    reach = max(shape.halfwidth, step)
+    u = draw(st.floats(min_value=0.0, max_value=1.0))
+    where = draw(st.sampled_from(["inside", "bin", "low-edge", "high-edge", "below", "above"]))
+    center = {
+        "inside": first + u * (last - first),
+        "bin": frequencies[int(u * (n_bins - 1))],
+        "low-edge": first + (2.0 * u - 1.0) * reach,
+        "high-edge": last + (2.0 * u - 1.0) * reach,
+        "below": first - u * step,
+        "above": last + u * step,
+    }[where]
+    power = draw(st.one_of(st.just(0.0), st.floats(min_value=1e-20, max_value=1e3)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    accumulator = np.random.default_rng(seed).uniform(1e-6, 1.0, n_bins)
+    return shape, frequencies, float(center), power, accumulator
+
+
+class TestDepositIdentity:
+    """``deposit`` is the old full-grid render, added in place, bit for bit."""
+
+    def test_strategy_covers_every_line_shape(self):
+        covered = {DeltaLine, GaussianLine, LorentzianLine, SpreadSpectrumLine}
+        assert set(LineShape.__subclasses__()) == covered
+
+    @given(case=deposit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_deposit_equals_accumulated_reference_render(self, case):
+        shape, frequencies, center, power, accumulator = case
+        expected = accumulator + reference_render(shape, frequencies, center, power)
+        got = accumulator.copy()
+        shape.deposit(got, frequencies, center, power)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+    @given(case=deposit_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_render_equals_reference_render(self, case):
+        shape, frequencies, center, power, _ = case
+        np.testing.assert_array_equal(
+            _bits(shape.render(frequencies, center, power)),
+            _bits(reference_render(shape, frequencies, center, power)),
+        )
 
 
 class TestModulationProperties:

@@ -122,3 +122,14 @@ class TestEndToEndFase:
             segment = measurement.trace.power_mw[index - 20 : index + 21]
             positions.append(grid.frequency_at(index - 20 + int(np.argmax(segment))))
         assert len(set(positions)) >= 4
+
+
+def test_environment_cache_follows_alternating_grids():
+    """Captures that alternate capture bands each see their own band."""
+    fs, n = 200e3, 4096
+    shared = build_environment(4e6, rng=np.random.default_rng(0))
+    for center in (300e3, 700e3, 300e3, 700e3):
+        fresh = build_environment(4e6, rng=np.random.default_rng(0))
+        got = _environment_iq(shared, None, center, fs, n, np.random.default_rng(2))
+        want = _environment_iq(fresh, None, center, fs, n, np.random.default_rng(2))
+        np.testing.assert_array_equal(got, want)
