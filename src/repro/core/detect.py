@@ -40,6 +40,25 @@ from ..units import format_frequency, milliwatts_to_dbm
 from .heuristic import HeuristicScorer
 
 
+def _window_percentiles(segments, q):
+    """``[float(np.percentile(s, q)) for s in segments]``, batched.
+
+    Windows of one length are stacked and reduced by a single
+    ``np.percentile(axis=1)`` call, which computes every row exactly as
+    the per-window call would; only windows clipped to another length
+    at the grid edge form groups of their own.
+    """
+    by_length = {}
+    for i, segment in enumerate(segments):
+        by_length.setdefault(len(segment), []).append(i)
+    values = [0.0] * len(segments)
+    for indices in by_length.values():
+        batch = np.percentile(np.stack([segments[i] for i in indices]), q, axis=1)
+        for i, value in zip(indices, batch):
+            values[i] = float(value)
+    return values
+
+
 @dataclass(frozen=True)
 class CarrierDetection:
     """One detected activity-modulated carrier.
@@ -116,8 +135,10 @@ class CarrierDetector:
 
         One :class:`ShiftedPowerCache` is built per run and shared between
         the Eq. 1/2 scoring pass and the movement-verification /
-        characterization reads, so no spectrum is stacked or interpolated
-        twice (reference-mode scorers skip the cache by design).
+        characterization reads, so the spectra are stacked once; each
+        harmonic's log10 score is taken once and shared by its z-score
+        and the reported evidence (reference-mode scorers skip the cache
+        by design).
 
         A degraded result (screen-flagged captures) is detected on its
         leave-one-out view: flagged captures contribute neither scores
@@ -138,13 +159,14 @@ class CarrierDetector:
                 scores = self.scorer.all_scores(result, cache=cache)
             else:
                 scores = self.scorer.all_scores(result)
-            zscores = self.scorer.harmonic_zscores(result, scores=scores)
+            log_scores = self.scorer.log_scores(scores)
+            zscores = self.scorer.harmonic_zscores(result, log_scores=log_scores)
             combined = self.scorer.combined_zscore(result, zscores=zscores)
             smoothed = self._smooth(combined)
             # Thresholding/clustering run on the z-score, but the reported
             # combined_score is the scorer's log10 evidence — the unit
             # describe() claims ("decades").
-            evidence = self.scorer.combined_score(result, scores=scores)
+            evidence = self.scorer.combined_score(result, log_scores=log_scores)
             grid = result.grid
             min_separation_bins = max(int(round(self.min_separation_hz / grid.resolution)), 2)
             detections = []
@@ -305,8 +327,7 @@ class CarrierDetector:
         # The shared cache's stacked power matrix serves the window reads;
         # without one (reference-mode scorer) fall back to the traces.
         power_rows = cache.power if cache is not None else None
-        positions = []
-        falts = []
+        windows = []
         for row, measurement in enumerate(result.measurements):
             target = frequency + harmonic * measurement.falt
             if not grid.contains(target):
@@ -318,15 +339,19 @@ class CarrierDetector:
                 segment = power_rows[row, lo:hi]
             else:
                 segment = measurement.trace.power_mw[lo:hi]
+            windows.append((measurement.falt, lo, segment))
+        # Background from a low quantile: the window may legitimately
+        # contain broad structure (e.g. a spread-spectrum pedestal) on
+        # top of the floor, which would inflate a median estimate.
+        backgrounds = _window_percentiles([segment for _, _, segment in windows], 25.0)
+        positions = []
+        falts = []
+        for (falt, lo, segment), background in zip(windows, backgrounds):
             peak_offset = int(np.argmax(segment))
-            # Background from a low quantile: the window may legitimately
-            # contain broad structure (e.g. a spread-spectrum pedestal) on
-            # top of the floor, which would inflate a median estimate.
-            background = float(np.percentile(segment, 25.0))
             if background > 0 and segment[peak_offset] < prominence_ratio * background:
                 continue  # obscured or absent side-band: skip, don't invent
             positions.append(grid.frequency_at(lo + peak_offset))
-            falts.append(measurement.falt)
+            falts.append(falt)
         if len(positions) < min_prominent:
             return None
         falts = np.asarray(falts)

@@ -23,12 +23,13 @@ Spectra are combined in *linear power* — the ratio of Eq. 2 is a power
 ratio, and the figures' dBm axes are display-only.
 
 Two implementations compute the same numbers: the default vectorized
-pipeline batches every shift through a shared
-:class:`~repro.core.scoring.ShiftedPowerCache` and evaluates all
-harmonics as one ``(H, N, n_bins)`` array (log-space accumulation
-preserved); ``HeuristicScorer(vectorized=False)`` keeps the naive
-per-trace ``np.interp`` path as the reference implementation for tests
-and benchmarks.
+pipeline interpolates every shift through a shared
+:class:`~repro.core.scoring.ShiftedPowerCache` into one reused
+``(N, n_bins)`` sub-score buffer and reduces it to each harmonic's
+F_h in turn (log-space accumulation preserved), memoizing the finished
+score arrays on the cache; ``HeuristicScorer(vectorized=False)`` keeps
+the naive per-trace ``np.interp`` path as the reference implementation
+for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -91,17 +92,19 @@ class HeuristicScorer:
         floor = self.power_floor
         subs = out if out is not None else np.empty((n, cache.n_bins), dtype=float)
         denom = scratch if scratch is not None else np.empty(cache.n_bins, dtype=float)
+        total = cache.floored_total(floor)
         inv_others = 1.0 / (n - 1)
         for i, falt in enumerate(falts):
             shift = harmonic * falt
-            # Numerator: one row interpolation, floored straight into the
-            # output row; denominator: one interpolation of the
-            # precomputed floored total (linearity of the interpolation)
-            # minus that row. The working set per sub-score is a handful
-            # of grid-length vectors, not an (N, n_bins) matrix per shift.
+            # Numerator: trace i interpolated and floored in place in its
+            # output row; denominator: the floored total interpolated in
+            # place (linearity of the interpolation) minus that row. No
+            # grid-length array is allocated per shift.
             sub = subs[i]
-            np.maximum(cache.shifted_row(i, shift), floor, out=sub)
-            np.subtract(cache.shifted_total(shift, floor), sub, out=denom)
+            cache.shift_into(cache.power[i], shift, sub)
+            np.maximum(sub, floor, out=sub)
+            cache.shift_into(total, shift, denom)
+            np.subtract(denom, sub, out=denom)
             denom *= inv_others
             np.maximum(denom, floor, out=denom)
             np.divide(sub, denom, out=sub)
@@ -139,10 +142,11 @@ class HeuristicScorer:
     def all_scores(self, result, cache=None):
         """{harmonic: F_h array} for every configured harmonic.
 
-        The vectorized path stacks every harmonic's sub-scores into one
-        ``(H, N, n_bins)`` array and reduces it with a single log-space
-        accumulation; pass ``cache`` to share shifted-power evaluations
-        with other consumers (the detector's movement verification).
+        The vectorized path computes each harmonic's sub-scores into one
+        reused ``(N, n_bins)`` buffer and reduces it to F_h before moving
+        on; the finished, read-only score arrays are memoized on the
+        cache, so passing the same ``cache`` again (the detector shares
+        its cache for movement verification) recomputes nothing.
 
         A degraded result (screen-flagged captures) is scored through its
         leave-one-out view: the flagged falt indices are excluded and the
@@ -167,19 +171,24 @@ class HeuristicScorer:
             owns_cache = cache is None
             if owns_cache:
                 cache = ShiftedPowerCache.from_result(result)
-            stack = np.empty((len(harmonics), cache.n_traces, cache.n_bins), dtype=float)
+            falts = tuple(float(falt) for falt in result.falts)
+            subs = np.empty((cache.n_traces, cache.n_bins), dtype=float)
             scratch = np.empty(cache.n_bins, dtype=float)
-            for k, h in enumerate(harmonics):
-                self._subscores_vectorized(
-                    cache, result.falts, h, out=stack[k], scratch=scratch
-                )
-            scores = self._accumulate(stack, axis=1)
+
+            def score(h):
+                self._subscores_vectorized(cache, falts, h, out=subs, scratch=scratch)
+                return self._accumulate(subs)
+
+            scores = {
+                h: cache.memoized((falts, h, self.power_floor, self.clip_subscore), score, h)
+                for h in harmonics
+            }
             if owns_cache:
                 # Whoever builds the cache flushes its counters; a shared
                 # cache is flushed by its owner (the detector) instead.
                 telemetry.count("scoring_cache_hits", cache.hits)
                 telemetry.count("scoring_cache_misses", cache.misses)
-            return {h: scores[k] for k, h in enumerate(harmonics)}
+            return scores
 
     def scores_excluding(self, result, exclude_index, cache=None):
         """Leave-one-out scores: falt index ``exclude_index`` held out.
@@ -210,21 +219,23 @@ class HeuristicScorer:
             )
         return self.all_scores(subset, cache=sub_cache)
 
-    def _accumulate(self, subs, axis=0):
-        """Eq. 1 product across traces, guarded against overflow.
+    def _accumulate(self, subs):
+        """Eq. 1 product across the rows of ``subs``, guarded against overflow.
 
         Each factor is clipped to ``[1/clip, clip]``, so the product of N
         sub-scores is bounded by ``clip**N``; when that provably fits in
         float64 the product is taken directly (a single cheap pass).
         Otherwise accumulation happens in log space, which is safe for
-        any N at the cost of a transcendental per element.
+        any N at the cost of a transcendental per element; the logs
+        overwrite ``subs``, which callers treat as scratch.
         """
-        n = subs.shape[axis]
+        n = subs.shape[0]
         if n * np.log10(self.clip_subscore) < 250.0:
-            return np.prod(subs, axis=axis)
-        return np.exp(np.sum(np.log(subs), axis=axis))
+            return np.prod(subs, axis=0)
+        total = np.sum(np.log(subs, out=subs), axis=0)
+        return np.exp(total, out=total)
 
-    def combined_score(self, result, scores=None, cache=None):
+    def combined_score(self, result, scores=None, cache=None, log_scores=None):
         """Evidence fused across harmonics: sum of positive log10 scores.
 
         The paper inspects each F_h separately; this simple fusion sums
@@ -232,15 +243,23 @@ class HeuristicScorer:
         while off-carrier scores (~1, log ~0) contribute nothing. Returned
         in log10 units ("decades of evidence"). For automated detection
         prefer :meth:`combined_zscore`, which normalizes each harmonic by
-        its own noise statistics first.
+        its own noise statistics first. ``log_scores`` ({harmonic:
+        log10 F_h}, see :meth:`log_scores`) spares recomputing the logs.
         """
-        if scores is None:
-            scores = self.all_scores(result, cache=cache)
-        grid = result.grid
-        combined = np.zeros(grid.n_bins, dtype=float)
-        for score in scores.values():
-            combined += np.maximum(np.log10(score), 0.0)
+        if log_scores is None:
+            if scores is None:
+                scores = self.all_scores(result, cache=cache)
+            log_scores = self.log_scores(scores)
+        combined = np.zeros(result.grid.n_bins, dtype=float)
+        positive = np.empty_like(combined)
+        for log_score in log_scores.values():
+            combined += np.maximum(log_score, 0.0, out=positive)
         return combined
+
+    @staticmethod
+    def log_scores(scores):
+        """{harmonic: log10 F_h} — shared by the z-scores and the evidence."""
+        return {h: np.log10(score) for h, score in scores.items()}
 
     @staticmethod
     def zscore(score_array):
@@ -252,19 +271,16 @@ class HeuristicScorer:
         above it. Normalizing per harmonic makes detection thresholds
         independent of the campaign's noise floor and averaging count.
         """
-        log_score = np.log10(score_array)
-        median = float(np.median(log_score))
-        mad = float(np.median(np.abs(log_score - median)))
-        sigma = 1.4826 * mad
-        if sigma <= 0:
-            sigma = float(np.std(log_score)) or 1.0
-        return (log_score - median) / sigma
+        return _robust_zscore(np.log10(score_array), np.empty(np.shape(score_array)))
 
-    def harmonic_zscores(self, result, scores=None, cache=None):
+    def harmonic_zscores(self, result, scores=None, cache=None, log_scores=None):
         """{harmonic: robust z-score array} for every configured harmonic."""
-        if scores is None:
-            scores = self.all_scores(result, cache=cache)
-        return {h: self.zscore(score) for h, score in scores.items()}
+        if log_scores is None:
+            if scores is None:
+                scores = self.all_scores(result, cache=cache)
+            log_scores = self.log_scores(scores)
+        scratch = np.empty(result.grid.n_bins, dtype=float)
+        return {h: _robust_zscore(log_score, scratch) for h, log_score in log_scores.items()}
 
     def combined_zscore(self, result, scores=None, zscores=None, cache=None):
         """Root-sum-square fusion of the positive per-harmonic z-scores.
@@ -281,11 +297,12 @@ class HeuristicScorer:
         """
         if zscores is None:
             zscores = self.harmonic_zscores(result, scores=scores, cache=cache)
-        grid = result.grid
-        combined = np.zeros(grid.n_bins, dtype=float)
+        combined = np.zeros(result.grid.n_bins, dtype=float)
+        positive = np.empty_like(combined)
         for z in zscores.values():
-            combined += np.maximum(z, 0.0) ** 2
-        return np.sqrt(combined)
+            np.maximum(z, 0.0, out=positive)
+            combined += np.multiply(positive, positive, out=positive)
+        return np.sqrt(combined, out=combined)
 
     # ------------------------------------------------------------------
 
@@ -301,6 +318,46 @@ class HeuristicScorer:
         for trace in traces:
             if trace.grid != grid:
                 raise DetectionError("traces must share one grid")
+
+
+def _median_inplace(values):
+    """``np.median`` of a finite 1-D array, to the last bit; reorders ``values``.
+
+    ``np.median`` partitions around both middle positions at once, which
+    NumPy serves with its scalar introselect. A partition around the one
+    upper-middle position takes NumPy's SIMD selection path instead
+    (~5x faster on a grid-length array); the lower-middle element is
+    then the maximum of the lower part. Both values and the arithmetic
+    on them (the middle element, or the mean of the two middle elements)
+    are ``np.median``'s own.
+    """
+    mid = values.size // 2
+    values.partition(mid)
+    upper = values[mid]
+    if values.size % 2:
+        return float(upper)
+    return float((values[:mid].max() + upper) / 2.0)
+
+
+def _robust_zscore(log_score, scratch):
+    """``(log_score - median) / (1.4826 * MAD)`` without ``np.median``.
+
+    Both medians are selected in place in ``scratch`` (see
+    :func:`_median_inplace`), so the only allocation is the returned
+    array. ``log_score`` must be finite: a NaN would not poison the
+    median as it does ``np.median``'s (spectra reject non-finite power
+    for that reason).
+    """
+    flat = scratch.reshape(-1)
+    np.copyto(scratch, log_score)
+    median = _median_inplace(flat)
+    deviation = np.subtract(log_score, median)
+    np.abs(deviation, out=scratch)
+    sigma = 1.4826 * _median_inplace(flat)
+    if sigma <= 0:
+        sigma = float(np.std(log_score)) or 1.0
+    deviation /= sigma
+    return deviation
 
 
 class IncrementalEvidence:

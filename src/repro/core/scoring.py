@@ -1,23 +1,28 @@
-"""Vectorized, cached scoring engine for the FASE heuristic.
+"""Vectorized scoring engine for the FASE heuristic.
 
 The Eq. 1/2 scorer is the hot path of every campaign: a full-span survey
 evaluates every spectrum at every shifted position ``f + h * falt_i`` —
 N traces x H harmonics x N falts interpolations over grids of up to
 hundreds of thousands of bins. :class:`ShiftedPowerCache` makes that
-cheap twice over:
+cheap in three ways:
 
-* **batched interpolation** — all N traces are stacked into one
-  ``(N, n_bins)`` power matrix, and a shift is applied to every trace at
-  once. Because the grid is uniform, ``f + shift`` lands at the same
-  fractional bin offset for every bin, so the interpolation collapses to
-  two gathers and one weighted sum instead of a per-trace binary-search
-  ``np.interp``;
-* **memoization** — shifted matrices are cached per shift, so the H x N
-  score pipeline, the z-score fusion, and the detector's
-  movement-verification pass never evaluate the same shift twice.
+* **slice-blend interpolation** — all N traces are stacked into one
+  ``(N, n_bins)`` power matrix. Because the grid is uniform,
+  ``f + shift`` lands at the same fractional bin offset for every bin,
+  so the interpolation collapses to two contiguous slices blended by one
+  scalar weight instead of a per-trace binary-search ``np.interp``;
+* **no per-shift allocation** — :meth:`ShiftedPowerCache.shift_into`
+  writes a shifted row into a caller-owned buffer, so the scorer reuses
+  one sub-score matrix and one denominator vector for every harmonic.
+  Each shift ``h * falt_i`` is read exactly once per harmonic score, so
+  there is nothing to memoize at the shift level;
+* **score memoization** — whole per-harmonic score arrays are memoized
+  on the cache, so a second scoring pass over the same campaign (or a
+  shared cache handed to several consumers) computes nothing twice.
 
 The cache is shared by :class:`~repro.core.heuristic.HeuristicScorer` and
-:class:`~repro.core.detect.CarrierDetector`; the naive per-trace
+:class:`~repro.core.detect.CarrierDetector`, whose movement verification
+reads windows of the stacked power matrix; the naive per-trace
 ``np.interp`` path survives as the reference implementation
 (``HeuristicScorer(vectorized=False)``) that tests and benchmarks compare
 against.
@@ -64,16 +69,17 @@ def shift_valid_mask(grid, shift):
 
 
 class ShiftedPowerCache:
-    """Batched, memoized ``SP_i(f + shift)`` evaluation for one campaign.
+    """Batched ``SP_i(f + shift)`` evaluation and score memo for one campaign.
 
-    Stacks the campaign's traces into a ``(N, n_bins)`` power matrix and
-    evaluates each requested shift for *all* traces in one vectorized
-    pass, caching the result so repeated shifts (the same ``h * falt_i``
-    appears in every sub-score row and again in detection) are free.
+    Stacks the campaign's traces into a ``(N, n_bins)`` power matrix.
+    :meth:`shift_into` interpolates any row (or matrix) over this grid
+    into a caller-owned buffer; :meth:`shifted_all` returns LRU-memoized
+    read-only matrices of every trace at one shift; :meth:`memoized`
+    keeps whole per-harmonic score arrays.
 
-    ``max_entries`` bounds the memo (LRU eviction); the default ``None``
-    keeps every shift, which for a paper campaign (10 harmonics x 5
-    falts) is 50 matrices.
+    ``hits``/``misses`` count lookups in both memos — for the scorer,
+    one per harmonic score. ``max_entries`` bounds the shifted-matrix
+    memo (LRU eviction); the default ``None`` keeps every shift.
     """
 
     def __init__(self, traces, max_entries=None):
@@ -86,15 +92,19 @@ class ShiftedPowerCache:
                 raise DetectionError("traces must share one grid")
         if max_entries is not None and max_entries < 1:
             raise DetectionError("max_entries must be >= 1 (or None)")
-        self.grid = grid
-        self.power = np.ascontiguousarray(
-            np.vstack([trace.power_mw for trace in traces])
+        self._reset(
+            grid,
+            np.ascontiguousarray(np.vstack([trace.power_mw for trace in traces])),
+            max_entries,
         )
+
+    def _reset(self, grid, power, max_entries):
+        self.grid = grid
+        self.power = power
         self.max_entries = max_entries
         self._shifted = OrderedDict()
-        self._rows = {}
-        self._totals = {}
-        self._floored_sums = {}
+        self._scores = {}
+        self._floored_totals = {}
         self._ranges = {}
         self._masks = {}
         self.hits = 0
@@ -111,10 +121,8 @@ class ShiftedPowerCache:
         The degraded pipeline scores leave-one-out views (a flagged falt
         index excluded, Eq. 2 renormalized over the rest); subsetting
         reuses the already-stacked power matrix instead of restacking
-        the surviving traces. Memoized shifts are *not* carried over —
-        a shifted matrix of the full stack cannot be row-sliced into the
-        child without pinning its memory, and the child's shift set
-        differs anyway (different falts survive).
+        the surviving traces. Memoized matrices and scores are *not*
+        carried over: they describe the full stack, not the subset.
         """
         indices = [int(i) for i in indices]
         if len(indices) < 2:
@@ -125,17 +133,7 @@ class ShiftedPowerCache:
             if not 0 <= i < self.n_traces:
                 raise DetectionError(f"trace index {i} outside 0..{self.n_traces - 1}")
         clone = object.__new__(type(self))
-        clone.grid = self.grid
-        clone.power = np.ascontiguousarray(self.power[indices])
-        clone.max_entries = self.max_entries
-        clone._shifted = OrderedDict()
-        clone._rows = {}
-        clone._totals = {}
-        clone._floored_sums = {}
-        clone._ranges = {}
-        clone._masks = {}
-        clone.hits = 0
-        clone.misses = 0
+        clone._reset(self.grid, np.ascontiguousarray(self.power[indices]), self.max_entries)
         return clone
 
     @property
@@ -163,7 +161,7 @@ class ShiftedPowerCache:
             self.hits += 1
             return cached
         self.misses += 1
-        matrix = self._interpolate(key)
+        matrix = self._shift_matrix(self.power, key)
         matrix.flags.writeable = False
         self._shifted[key] = matrix
         if self.max_entries is not None and len(self._shifted) > self.max_entries:
@@ -174,61 +172,43 @@ class ShiftedPowerCache:
         """One trace's shifted power: ``SP_index(f + shift)`` over the grid."""
         return self.shifted_all(shift)[index]
 
-    def shifted_row(self, index, shift):
-        """Like :meth:`shifted`, but never materializes the full matrix.
-
-        The Eq. 2 numerator only ever reads trace ``i`` at shift
-        ``h * falt_i``, so interpolating one row keeps the working set a
-        single grid-length vector (cache-resident) instead of an
-        ``(N, n_bins)`` matrix per shift. Falls through to an already
-        cached full matrix when one exists.
-        """
-        shift = float(shift)
-        full = self._shifted.get(shift)
-        if full is not None:
-            self._shifted.move_to_end(shift)
-            self.hits += 1
-            return full[index]
-        key = (int(index), shift)
-        row = self._rows.get(key)
-        if row is not None:
-            self.hits += 1
-            return row
-        self.misses += 1
-        row = self._shift_matrix(self.power[index : index + 1], shift)[0]
-        row.flags.writeable = False
-        self._rows[key] = row
-        return row
-
-    def shifted_total(self, shift, floor=0.0):
-        """``sum_j max(SP_j, floor)`` evaluated at ``f + shift``.
+    def floored_total(self, floor=0.0):
+        """``sum_j max(SP_j, floor)`` per bin, computed once per floor.
 
         Linear interpolation commutes with the sum over traces, so the
-        Eq. 2 denominator needs one interpolation of a precomputed
-        total-power vector instead of N per-trace interpolations. The
-        floor is applied to the bin powers *before* interpolating; that
-        matches flooring the interpolated values exactly wherever a trace
-        does not cross the floor between adjacent bins (the floor sits
-        ~7 decades below any physical noise floor, so in practice it only
-        binds on all-zero synthetic traces, where both orderings agree).
+        Eq. 2 denominator at any shift is one :meth:`shift_into` of this
+        vector instead of N per-trace interpolations. The floor is applied
+        to the bin powers *before* interpolating; that matches flooring
+        the interpolated values exactly wherever a trace does not cross
+        the floor between adjacent bins (the floor sits ~7 decades below
+        any physical noise floor, so in practice it only binds on
+        all-zero synthetic traces, where both orderings agree).
         """
-        shift = float(shift)
         floor = float(floor)
-        key = (shift, floor)
-        total = self._totals.get(key)
-        if total is not None:
-            self.hits += 1
-            return total
-        self.misses += 1
-        base = self._floored_sums.get(floor)
-        if base is None:
+        total = self._floored_totals.get(floor)
+        if total is None:
             floored = np.maximum(self.power, floor) if floor > 0.0 else self.power
-            base = np.ascontiguousarray(floored.sum(axis=0))
-            self._floored_sums[floor] = base
-        total = self._shift_matrix(base[None, :], shift)[0]
-        total.flags.writeable = False
-        self._totals[key] = total
+            total = np.ascontiguousarray(floored.sum(axis=0))
+            total.flags.writeable = False
+            self._floored_totals[floor] = total
         return total
+
+    def memoized(self, key, compute, *args):
+        """The read-only array ``compute(*args)`` returned for ``key``, computed once.
+
+        The scorer keys each harmonic's Eq. 1 score by
+        ``(falts, harmonic, power_floor, clip_subscore)``, so a second
+        scoring pass with this cache is a dictionary lookup per harmonic.
+        """
+        value = self._scores.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = compute(*args)
+        value.flags.writeable = False
+        self._scores[key] = value
+        return value
 
     def valid_range(self, shift):
         """Memoized :func:`shift_valid_range` for this cache's grid."""
@@ -251,24 +231,21 @@ class ShiftedPowerCache:
 
     # ------------------------------------------------------------------
 
-    def _interpolate(self, shift):
-        """Uniform-grid linear interpolation of all traces at one shift."""
-        return self._shift_matrix(self.power, shift)
-
-    def _shift_matrix(self, power, shift):
-        """Slice-blend interpolation of ``power`` rows at one shift.
+    def shift_into(self, row, shift, out):
+        """Slice-blend interpolation of ``row`` at ``f + shift`` into ``out``.
 
         On a uniform grid ``f_k + shift`` sits at bin position
         ``k + shift/fres`` — a *constant* offset — so the interpolation is
         two contiguous slices blended by one scalar weight (plus constant
         edge clamps), with no per-point search or index gathers at all.
-        ``power`` is any ``(M, n_bins)`` matrix over this cache's grid.
+        ``row`` is a grid-length vector (or an ``(M, n_bins)`` matrix) over
+        this cache's grid; ``out`` has its shape and must not overlap it.
+        Nothing is allocated. Returns ``out``.
         """
         n_bins = self.n_bins
         offset = shift / self.grid.resolution
         whole = int(np.floor(offset))
         frac = offset - whole
-        out = np.empty_like(power)
         # Columns k with 0 <= k+whole < n-1 interpolate between two real
         # bins; on the left of that range the shifted position is below
         # the span (clamp to the first bin), on the right at or past the
@@ -276,25 +253,29 @@ class ShiftedPowerCache:
         lo = min(max(-whole, 0), n_bins)
         hi = min(max(n_bins - 1 - whole, 0), n_bins)
         if lo > 0:
-            out[:, :lo] = power[:, :1]
+            out[..., :lo] = row[..., :1]
         if hi < n_bins:
-            out[:, hi:] = power[:, -1:]
+            out[..., hi:] = row[..., -1:]
         if hi > lo:
-            left = power[:, lo + whole : hi + whole]
+            left = row[..., lo + whole : hi + whole]
             if frac == 0.0:
-                out[:, lo:hi] = left
+                out[..., lo:hi] = left
             else:
-                # left + frac*(right - left), evaluated in place so the
-                # blend allocates nothing beyond the output itself.
-                right = power[:, lo + whole + 1 : hi + whole + 1]
-                interior = out[:, lo:hi]
+                # left + frac*(right - left), evaluated in place.
+                right = row[..., lo + whole + 1 : hi + whole + 1]
+                interior = out[..., lo:hi]
                 np.subtract(right, left, out=interior)
                 interior *= frac
                 interior += left
         return out
 
+    def _shift_matrix(self, power, shift):
+        """:meth:`shift_into` a fresh array shaped like ``power``."""
+        return self.shift_into(power, shift, np.empty_like(power))
+
     def __repr__(self):
         return (
             f"ShiftedPowerCache({self.n_traces} traces x {self.n_bins} bins, "
-            f"{len(self._shifted)} shifts cached, {self.hits} hits)"
+            f"{len(self._shifted)} shifts and {len(self._scores)} scores cached, "
+            f"{self.hits} hits)"
         )

@@ -38,12 +38,12 @@ import numpy as np
 
 from .core.campaign import CampaignMeasurement, CampaignResult
 from .core.config import FaseConfig
-from .errors import CampaignArchiveError, CampaignError
+from .errors import CampaignArchiveError, CampaignError, TraceError
 from .faults.injectors import FaultEvent
 from .faults.robustness import DetectionDelta, RobustnessReport
 from .faults.screening import CaptureQuality
 from .spectrum.grid import FrequencyGrid
-from .spectrum.trace import SpectrumTrace
+from .spectrum.trace import SpectrumTrace, validate_power
 from .uarch.activity import AlternationActivity
 
 #: Format marker for forward compatibility.
@@ -404,6 +404,12 @@ class LazySpectrumTrace(SpectrumTrace):
                     f"{self._loader.path!r}: member {self._member!r} has shape "
                     f"{power.shape}, expected ({self.grid.n_bins},)"
                 )
+            try:
+                validate_power(power)
+            except TraceError as exc:
+                raise CampaignArchiveError(
+                    f"{self._loader.path!r}: member {self._member!r} is damaged: {exc}"
+                ) from exc
             self._power = power
         return self._power
 
@@ -515,7 +521,13 @@ def _load_archive(path, lazy=False):
                         f"{str(path)!r} has a damaged 'trace_{i}' member (capture {i} of "
                         f"{n_measurements}): {exc}"
                     ) from exc
-                trace = SpectrumTrace(grid, power, label=label)
+                try:
+                    trace = SpectrumTrace(grid, power, label=label)
+                except TraceError as exc:
+                    raise CampaignArchiveError(
+                        f"{str(path)!r} has a damaged 'trace_{i}' member (capture {i} of "
+                        f"{n_measurements}): {exc}"
+                    ) from exc
             quality = None
             if reasons[i] is not None:
                 quality = CaptureQuality(ok=not flagged[i], reasons=tuple(reasons[i]))

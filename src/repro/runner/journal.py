@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import JournalError
+from ..errors import JournalError, TraceError
 from ..faults.injectors import FaultEvent
 from ..io import (
     _activity_from_dict,
@@ -329,7 +329,10 @@ class CampaignJournal:
             return None
         if checksum != _record_checksum(index, attempt, meta["falt"], power):
             return None
-        trace = SpectrumTrace(grid, power, label=meta.get("trace_label", ""))
+        try:
+            trace = SpectrumTrace(grid, power, label=meta.get("trace_label", ""))
+        except TraceError:
+            return None  # non-finite or negative power: not a usable capture
         return JournalRecord(
             index=index, attempt=attempt, activity=activity, trace=trace, events=events
         )

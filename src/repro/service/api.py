@@ -38,7 +38,9 @@ writer process — the journal's crash-safety story is unchanged.
 
 Every response is JSON except ``/events`` (``application/x-ndjson``).
 Unknown jobs/tenants are 404, malformed requests 400 — always with an
-``{"error": ...}`` body.
+``{"error": ...}`` body. A ``Content-Length`` above
+:data:`MAX_BODY_BYTES` is 413 (negative: 400), answered without reading
+the body and followed by closing the connection.
 
 **Event streaming.** A plain ``GET /jobs/{id}/events`` answers a
 snapshot of every *complete* line from ``?offset=`` (default 0) with
@@ -76,6 +78,15 @@ from .scheduler import FairShareScheduler
 from .workers import WorkerFleet
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(FaseConfig)}
+
+#: Largest request body the API reads. Job specs, claims and shard
+#: reports are a few KB; a larger ``Content-Length`` is answered 413
+#: without reading a byte of the body.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class _BodyTooLarge(ServiceError):
+    """A request declared a body larger than :data:`MAX_BODY_BYTES`."""
 
 
 def config_from_request(data):
@@ -325,6 +336,15 @@ def _make_handler(service):
 
         def _read_body(self):
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0 or length > MAX_BODY_BYTES:
+                # The unread body would be parsed as the next request on
+                # this keep-alive connection: answer, then hang up.
+                self.close_connection = True
+                if length < 0:
+                    raise ServiceError(f"Content-Length must be non-negative, got {length}")
+                raise _BodyTooLarge(
+                    f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+                )
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw or b"{}")
@@ -393,6 +413,8 @@ def _make_handler(service):
                     if action == "release":
                         return self._send_json(service.release_claim(job_id, shard_id, body))
                 self._send_error(f"no such resource: {self.path}", 404)
+            except _BodyTooLarge as exc:
+                self._send_error(str(exc), 413)
             except ServiceError as exc:
                 self._send_error(str(exc), 404 if _is_missing(exc) else 400)
             except ReproError as exc:

@@ -15,6 +15,19 @@ from ..units import dbm_to_milliwatts, milliwatts_to_dbm
 from .grid import FrequencyGrid
 
 
+def validate_power(power):
+    """Raise :class:`TraceError` unless every bin's power is finite and >= 0.
+
+    A single NaN or infinite bin would turn every robust z-score of the
+    campaign into NaN (the medians absorb it) and silently hide every
+    carrier, so it is refused at the boundary instead.
+    """
+    if not np.isfinite(power).all():
+        raise TraceError("per-bin power must be finite (found NaN or infinity)")
+    if (power < 0).any():
+        raise TraceError("per-bin power must be non-negative")
+
+
 class SpectrumTrace:
     """Power spectrum over a :class:`FrequencyGrid`.
 
@@ -33,8 +46,7 @@ class SpectrumTrace:
                 f"power array shape {power.shape} does not match grid with "
                 f"{grid.n_bins} bins"
             )
-        if np.any(power < 0):
-            raise TraceError("per-bin power must be non-negative")
+        validate_power(power)
         self.grid = grid
         self.power_mw = power
         self.label = label

@@ -9,8 +9,8 @@ resume. This package records *where time and captures went*:
 * **metrics** (:mod:`repro.telemetry.metrics`) — thread-safe counters,
   gauges, and fixed-bucket histograms with a snapshot/merge API
   (``captures_total``, ``capture_retries``, ``capture_timeouts``,
-  ``screen_rejections``, ``scoring_cache_hits``/``misses``, per-stage
-  wall-clock histograms);
+  ``screen_rejections``, ``scoring_cache_hits``/``misses`` — one per
+  per-harmonic score-memo lookup — and per-stage wall-clock histograms);
 * **profiling** (:mod:`repro.telemetry.profiler`) — opt-in attribution
   of campaign wall-clock to capture / average / score / detect stages;
 * **sinks** (:mod:`repro.telemetry.sinks`) — in-memory
